@@ -150,6 +150,13 @@ std::unordered_map<std::uint64_t, std::size_t> address_index(
   return map;
 }
 
+/// A cast's place in its sender's issue order (rounds of casts_per_round).
+std::uint64_t linear_index(const RunLog& log, const Payload& p) {
+  return std::uint64_t{p.round} *
+             static_cast<std::uint64_t>(log.casts_per_round) +
+         p.index;
+}
+
 void check_no_dup_no_creation(
     const RunLog& log,
     const std::unordered_map<std::uint64_t, std::size_t>& addr_idx,
@@ -175,10 +182,7 @@ void check_no_dup_no_creation(
       }
       std::uint64_t id =
           pack_id(o.payload.sender, o.payload.round, o.payload.index);
-      std::uint64_t linear =
-          std::uint64_t{o.payload.round} *
-              static_cast<std::uint64_t>(log.casts_per_round) +
-          o.payload.index;
+      std::uint64_t linear = linear_index(log, o.payload);
       if (o.payload.sender >= log.sent.size() ||
           linear >= log.sent[o.payload.sender]) {
         rep.add(Oracle::kNoDupNoCreation, m.index,
@@ -437,10 +441,7 @@ void check_cross_epoch(const RunLog& log, Report& rep) {
     std::map<std::uint64_t, std::uint64_t> next_linear;  // sender -> floor
     for (const Obs& o : m.obs) {
       if (o.kind != Obs::Kind::kCast || !o.decoded) continue;
-      std::uint64_t linear =
-          std::uint64_t{o.payload.round} *
-              static_cast<std::uint64_t>(log.casts_per_round) +
-          o.payload.index;
+      std::uint64_t linear = linear_index(log, o.payload);
       std::uint64_t id =
           pack_id(o.payload.sender, o.payload.round, o.payload.index);
       auto it = next_linear.find(o.payload.sender);
@@ -493,6 +494,38 @@ void check_cross_epoch(const RunLog& log, Report& rep) {
   }
 }
 
+void check_self_delivery(const RunLog& log, Report& rep) {
+  // Liveness, which every other oracle leaves alone: a reliable stack owes
+  // a member that never crashed the delivery of its own casts before the
+  // run settles, whatever happened to the rest of the group.
+  for (const auto& m : log.members) {
+    if (m.crashed || m.index >= log.sent.size()) continue;
+    std::set<std::uint64_t> got;  // linear cast indices delivered back
+    for (const Obs& o : m.obs) {
+      if (o.kind != Obs::Kind::kCast || !o.decoded ||
+          o.payload.sender != m.index) {
+        continue;
+      }
+      got.insert(linear_index(log, o.payload));
+    }
+    std::uint64_t missing = 0;
+    std::uint64_t first = 0;
+    for (std::uint64_t i = 0; i < log.sent[m.index]; ++i) {
+      if (got.count(i) != 0) continue;
+      if (missing++ == 0) first = i;
+    }
+    if (missing == 0) continue;
+    // Inverse of linear_index; casts_per_round > 0, since m cast.
+    const auto per_round = static_cast<std::uint64_t>(log.casts_per_round);
+    rep.add(Oracle::kSelfDelivery, m.index,
+            "never delivered " + std::to_string(missing) + " of its own " +
+                std::to_string(log.sent[m.index]) + " casts, first " +
+                id_str(pack_id(m.index,
+                               static_cast<std::uint32_t>(first / per_round),
+                               static_cast<std::uint32_t>(first % per_round))));
+  }
+}
+
 }  // namespace
 
 std::vector<Violation> evaluate(OracleSet set, const RunLog& log) {
@@ -518,6 +551,9 @@ std::vector<Violation> evaluate(OracleSet set, const RunLog& log) {
   }
   if (set & static_cast<OracleSet>(Oracle::kCrossEpoch)) {
     check_cross_epoch(log, rep);
+  }
+  if (set & static_cast<OracleSet>(Oracle::kSelfDelivery)) {
+    check_self_delivery(log, rep);
   }
   return rep.take();
 }

@@ -32,6 +32,7 @@ std::unique_ptr<LayerState> Total::make_state(Group&) {
   auto st = std::make_unique<State>();
   // Until the first view arrives we behave as a singleton holder.
   st->have_token = true;
+  st->parked = true;
   return st;
 }
 
@@ -40,7 +41,12 @@ void Total::down(Group& g, DownEvent& ev) {
     case DownType::kCast: {
       State& st = state<State>(g);
       st.pending.push_back(std::move(ev.msg));
-      if (st.have_token) drain_token(g, st);
+      if (st.have_token) {
+        stamp_pending(g, st);
+        if (!st.parked) rotate(g, st);
+      } else if (st.last_pass_idle && !st.requested && !st.in_flush) {
+        request_token(g, st);
+      }
       return;
     }
     case DownType::kSend: {
@@ -55,10 +61,10 @@ void Total::down(Group& g, DownEvent& ev) {
   }
 }
 
-void Total::drain_token(Group& g, State& st) {
-  while (!st.pending.empty()) {
-    Message m = std::move(st.pending.front());
-    st.pending.erase(st.pending.begin());
+void Total::stamp_pending(Group& g, State& st) {
+  if (st.pending.empty()) return;
+  st.stamped_hold = true;
+  for (Message& m : st.pending) {
     HLOG_TRACE("TOTAL") << stack().address().id << " stamp gseq="
                         << st.next_stamp;
     std::uint64_t fields[] = {kOrdered, st.next_stamp++};
@@ -68,28 +74,136 @@ void Total::drain_token(Group& g, State& st) {
     out.msg = std::move(m);
     pass_down(g, out);
   }
-  if (g.view().size() > 1) pass_token(g, st);
+  st.pending.clear();
 }
 
-void Total::pass_token(Group& g, State& st) {
+void Total::take_token(Group& g, State& st, std::uint64_t stamp,
+                       std::uint64_t run) {
+  st.have_token = true;
+  st.requested = false;
+  st.idle_run = run;
+  st.next_stamp = std::max(st.next_stamp, stamp);
+  st.stamped_hold = false;
+  stamp_pending(g, st);
+  if (run + 1 >= g.view().size()) {
+    // Every other member passed it on idle: nobody else wants it.
+    park_or_hand_over(g, st);
+  } else if (st.stamped_hold) {
+    rotate(g, st);
+  } else {
+    schedule_idle_pass(g, st);
+  }
+}
+
+void Total::park_or_hand_over(Group& g, State& st) {
+  if (!st.requests.empty()) {
+    Address to = st.requests.front().from;
+    st.requests.erase(st.requests.begin());
+    HLOG_TRACE("TOTAL") << stack().address().id << " hand token to "
+                        << to.id;
+    hand_over(g, st, to);
+    return;
+  }
+  HLOG_TRACE("TOTAL") << stack().address().id << " park token";
+  st.parked = true;
+}
+
+void Total::hand_over(Group& g, State& st, const Address& to) {
+  // Every other member's last pass was idle. If ours is too, nobody but the
+  // requester wants the token, so it parks it. If we stamped, the run
+  // restarts at the requester and must come round to us before it parks.
+  st.last_pass_idle = !st.stamped_hold;
+  send_token(g, st, to, st.stamped_hold ? 0 : g.view().size() - 1);
+}
+
+void Total::rotate(Group& g, State& st) {
   auto my_rank = g.view().rank_of(stack().address());
   if (!my_rank.has_value() || g.view().size() <= 1) return;
+  st.last_pass_idle = !st.stamped_hold;
+  send_token(g, st, g.view().member((*my_rank + 1) % g.view().size()),
+             st.stamped_hold ? 0 : st.idle_run + 1);
+}
+
+void Total::send_token(Group& g, State& st, const Address& to,
+                       std::uint64_t run) {
   stack().cancel(st.idle_timer);
   st.idle_timer = 0;
   st.have_token = false;
+  st.parked = false;
   ++st.tokens_passed;
-  const Address& next = g.view().member((*my_rank + 1) % g.view().size());
+  Writer w;
+  w.varint(g.view().id().seq);
+  w.varint(st.next_stamp);
+  w.varint(run);
+  Message m = Message::from_payload(w.take());
+  std::uint64_t fields[] = {kToken, kTokenPass};
+  stack().push_header(m, *this, fields);
+  DownEvent out;
+  out.type = DownType::kSend;
+  out.dests = {to};
+  out.msg = std::move(m);
+  pass_down(g, out);
+}
+
+void Total::request_token(Group& g, State& st) {
+  st.requested = true;
+  ++st.requests_sent;
   Writer w;
   w.varint(g.view().id().seq);
   w.varint(st.next_stamp);
   Message m = Message::from_payload(w.take());
-  std::uint64_t fields[] = {kToken, 0};
+  std::uint64_t fields[] = {kToken, kTokenRequest};
   stack().push_header(m, *this, fields);
   DownEvent out;
   out.type = DownType::kSend;
-  out.dests = {next};
+  for (const Address& a : g.view().members()) {
+    if (a != stack().address()) out.dests.push_back(a);
+  }
   out.msg = std::move(m);
   pass_down(g, out);
+}
+
+namespace {
+
+/// Remember `rq`, once per requester; a repeated request raises the floor.
+template <typename Request>
+void remember(std::vector<Request>& v, const Request& rq) {
+  for (Request& r : v) {
+    if (r.from == rq.from) {
+      r.floor = std::max(r.floor, rq.floor);
+      return;
+    }
+  }
+  v.push_back(rq);
+}
+
+}  // namespace
+
+void Total::on_request(Group& g, State& st, const Request& rq,
+                       std::uint64_t vseq) {
+  const std::uint64_t cur = g.view().id().seq;
+  if (vseq > cur) {
+    // Its sender installed a view we have not (view seqs jump for a joiner
+    // or a merge): keep it for then, as an early token is kept. Without it
+    // the token could park here after our install while the requester
+    // waits. That view's members are unknown yet, so a cap bounds this.
+    constexpr std::size_t kMaxEarly = 256;
+    if (vseq < st.early_requests_view) return;
+    if (vseq > st.early_requests_view) {
+      st.early_requests.clear();
+      st.early_requests_view = vseq;
+    }
+    if (st.early_requests.size() < kMaxEarly) remember(st.early_requests, rq);
+    return;
+  }
+  if (vseq < cur || st.in_flush || !g.view().contains(rq.from)) return;
+  if (st.parked) {
+    HLOG_TRACE("TOTAL") << stack().address().id << " hand parked token to "
+                        << rq.from.id;
+    hand_over(g, st, rq.from);
+    return;
+  }
+  remember(st.requests, rq);
 }
 
 void Total::schedule_idle_pass(Group& g, State& st) {
@@ -98,12 +212,9 @@ void Total::schedule_idle_pass(Group& g, State& st) {
       g.gid(), stack().config().token_idle_delay, [this](Group& gg) {
         State& s2 = state<State>(gg);
         s2.idle_timer = 0;
-        if (!s2.have_token) return;
-        if (!s2.pending.empty()) {
-          drain_token(gg, s2);
-        } else {
-          pass_token(gg, s2);
-        }
+        if (!s2.have_token || s2.parked) return;
+        stamp_pending(gg, s2);
+        rotate(gg, s2);
       });
 }
 
@@ -122,6 +233,11 @@ void Total::up(Group& g, UpEvent& ev) {
       std::uint64_t gseq = h.fields[1];
       switch (kind) {
         case kOrdered: {
+          // The sender held the token for this stamp: a request it sent
+          // before stamping it has been served.
+          std::erase_if(st.requests, [&](const Request& rq) {
+            return rq.from == ev.source && gseq >= rq.floor;
+          });
           bool fresh =
               st.ordered
                   .emplace(gseq,
@@ -144,7 +260,12 @@ void Total::up(Group& g, UpEvent& ev) {
           try {
             Reader r = ev.msg.reader();
             std::uint64_t vseq = r.varint();
+            if (gseq == kTokenRequest) {
+              on_request(g, st, Request{ev.source, r.varint()}, vseq);
+              return;
+            }
             std::uint64_t stamp = r.varint();
+            std::uint64_t run = r.varint();
             if (vseq < g.view().id().seq) return;  // stale token: let it die
             if (vseq == g.view().id().seq && st.in_flush) {
               // This view already flushed: its token is dead. Claiming it
@@ -159,15 +280,10 @@ void Total::up(Group& g, UpEvent& ev) {
               // holder installed before us): hold it, claim it at install.
               st.pending_token_view = vseq;
               st.pending_token_stamp = stamp;
+              st.pending_token_run = run;
               return;
             }
-            st.have_token = true;
-            st.next_stamp = std::max(st.next_stamp, stamp);
-            if (!st.pending.empty()) {
-              drain_token(g, st);
-            } else {
-              schedule_idle_pass(g, st);
-            }
+            take_token(g, st, stamp, run);
           } catch (const DecodeError&) {
           }
           return;
@@ -182,8 +298,13 @@ void Total::up(Group& g, UpEvent& ev) {
       // Cast everything that is still waiting for the token; MBRSHIP logs
       // these into the old view's message set. They are buffered at the
       // receivers and delivered in deterministic order at the view change.
-      std::vector<Message> pend = std::move(st.pending);
-      st.pending.clear();
+      // A repeated flush of the same view (a retry under a new
+      // coordinator) keeps casts issued since the first one for the next
+      // view's token, as MBRSHIP defers casts issued during a flush: the
+      // retry may end in a merge whose install replays nothing of this
+      // view, not even to its own sender.
+      std::vector<Message> pend;
+      if (!st.in_flush) pend.swap(st.pending);
       HLOG_TRACE("TOTAL") << stack().address().id << " flush: recast "
                           << pend.size() << " pending as unordered";
       for (Message& m : pend) {
@@ -195,6 +316,7 @@ void Total::up(Group& g, UpEvent& ev) {
         pass_down(g, out);
       }
       st.have_token = false;  // the old token is dead either way
+      st.parked = false;
       st.in_flush = true;
       pass_up(g, ev);
       return;
@@ -261,27 +383,34 @@ void Total::on_view(Group& g, State& st, UpEvent& ev) {
   }
   st.unordered.clear();
   // 3. Reset: "another deterministic rule decides who the first token
-  //    holder in this view is (e.g., the lowest ranked member)".
+  //    holder in this view is (e.g., the lowest ranked member)". Nobody has
+  //    passed the new token yet, so nobody may be skipped: the first
+  //    rotation visits everyone before the token can park.
   st.next_stamp = 1;
   st.next_deliver = 1;
   st.in_flush = false;
-  st.have_token = ev.view.rank_of(stack().address()) == 0u;
-  if (st.pending_token_view == ev.view.id().seq) {
-    // The new view's token already reached us before the install did.
-    st.have_token = true;
-    st.next_stamp = std::max(st.next_stamp, st.pending_token_stamp);
+  st.have_token = false;
+  st.parked = false;
+  st.last_pass_idle = false;
+  st.requested = false;
+  st.requests.clear();
+  if (st.early_requests_view == ev.view.id().seq) {
+    for (const Request& rq : st.early_requests) {
+      if (ev.view.contains(rq.from)) st.requests.push_back(rq);
+    }
   }
-  st.pending_token_view = 0;
-  st.pending_token_stamp = 0;
+  st.early_requests.clear();
+  st.early_requests_view = 0;
   stack().cancel(st.idle_timer);
   st.idle_timer = 0;
+  const bool claim_early = st.pending_token_view == ev.view.id().seq;
+  st.pending_token_view = 0;
   pass_up(g, ev);
-  if (st.have_token) {
-    if (!st.pending.empty()) {
-      drain_token(g, st);
-    } else {
-      schedule_idle_pass(g, st);
-    }
+  if (claim_early) {
+    // The new view's token already reached us before the install did.
+    take_token(g, st, st.pending_token_stamp, st.pending_token_run);
+  } else if (ev.view.rank_of(stack().address()) == 0u) {
+    take_token(g, st, 1, 0);
   }
 }
 
@@ -341,6 +470,9 @@ void Total::import_state(Group& g, Reader& r) {
 void Total::dump(Group& g, std::string& out) const {
   State& st = state<State>(const_cast<Group&>(g));
   out += "TOTAL: token=" + std::to_string(st.have_token) +
+         " parked=" + std::to_string(st.parked) +
+         " tokens_passed=" + std::to_string(st.tokens_passed) +
+         " requests_sent=" + std::to_string(st.requests_sent) +
          " next_stamp=" + std::to_string(st.next_stamp) +
          " next_deliver=" + std::to_string(st.next_deliver) +
          " pending=" + std::to_string(st.pending.size()) +

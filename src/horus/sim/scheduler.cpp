@@ -21,7 +21,25 @@ TimerId Scheduler::schedule(Duration delay, std::function<void()> fn) {
 
 void Scheduler::cancel(TimerId id) {
   util::MutexLock lock(mu_);
+  if (id == 0 || id >= next_id_) return;  // never issued
   cancelled_.insert(id);
+  // Only queued ids can match: a larger set holds ids that already fired.
+  if (cancelled_.size() > queue_.size()) drop_stale_cancellations_locked();
+}
+
+void Scheduler::drop_stale_cancellations_locked() {
+  std::unordered_set<TimerId> queued;
+  for (const Event& ev : queue_.events()) {
+    if (cancelled_.count(ev.id) != 0) queued.insert(ev.id);
+  }
+  cancelled_.swap(queued);
+}
+
+std::size_t Scheduler::pending() const {
+  util::MutexLock lock(mu_);
+  std::size_t n = 0;
+  for (const Event& ev : queue_.events()) n += cancelled_.count(ev.id) == 0;
+  return n;
 }
 
 void Scheduler::prune_cancelled_locked() const {

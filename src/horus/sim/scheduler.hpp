@@ -68,7 +68,8 @@ class Scheduler {
   /// Schedule `fn` to run at now() + delay. Returns a cancellable id.
   TimerId schedule(Duration delay, std::function<void()> fn);
 
-  /// Cancel a previously scheduled event. Safe to call after it fired.
+  /// Cancel a previously scheduled event. Cancelling an event that already
+  /// fired, was already cancelled, or was never scheduled (id 0) is a no-op.
   void cancel(TimerId id);
 
   /// Run events until the queue is empty. Returns number of events run.
@@ -88,14 +89,10 @@ class Scheduler {
   /// busy-polling.
   [[nodiscard]] std::optional<Time> next_due() const;
 
-  [[nodiscard]] bool empty() const {
-    util::MutexLock lock(mu_);
-    return queue_.size() == cancelled_.size();
-  }
-  [[nodiscard]] std::size_t pending() const {
-    util::MutexLock lock(mu_);
-    return queue_.size() - cancelled_.size();
-  }
+  /// Live (queued, not cancelled) events. Both scan the queue: they are
+  /// for tests and diagnostics, not for hot loops.
+  [[nodiscard]] bool empty() const { return pending() == 0; }
+  [[nodiscard]] std::size_t pending() const;
 
  private:
   struct Event {
@@ -117,9 +114,16 @@ class Scheduler {
     }
   };
 
+  /// The heap, with read access to its events for the scans above.
+  struct EventQueue : std::priority_queue<Event, std::vector<Event>, Later> {
+    [[nodiscard]] const std::vector<Event>& events() const { return c; }
+  };
+
   /// Drop cancelled events sitting at the head of the queue (so top() is
   /// always a live event). Caller holds mu_.
   void prune_cancelled_locked() const REQUIRES(mu_);
+  /// Forget cancellations of events no longer queued. Caller holds mu_.
+  void drop_stale_cancellations_locked() REQUIRES(mu_);
   /// Pop the earliest live event into `out`. Caller holds mu_.
   bool pop_one_locked(Event& out) REQUIRES(mu_);
 
@@ -127,8 +131,10 @@ class Scheduler {
   std::atomic<Time> now_{0};
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   TimerId next_id_ GUARDED_BY(mu_) = 1;
-  mutable std::priority_queue<Event, std::vector<Event>, Later> queue_
-      GUARDED_BY(mu_);
+  mutable EventQueue queue_ GUARDED_BY(mu_);
+  /// Ids cancelled while queued, dropped when they reach the head. It may
+  /// also hold ids cancelled after they fired; those are never matched and
+  /// are swept once the set outgrows the queue.
   mutable std::unordered_set<TimerId> cancelled_ GUARDED_BY(mu_);
 };
 

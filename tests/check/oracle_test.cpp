@@ -56,6 +56,7 @@ OracleSet only(Oracle o) { return static_cast<OracleSet>(o); }
 TEST(CheckOracle, CleanLogHasNoViolations) {
   RunLog log = two_members({cast(0, 0, 1), cast(1, 0, 1)},
                            {cast(0, 0, 1), cast(1, 0, 1)});
+  log.sent = {1, 1};  // exactly the casts delivered (self-delivery)
   EXPECT_TRUE(evaluate(kAllOracles, log).empty());
 }
 
@@ -243,6 +244,43 @@ TEST(CheckOracle, CrossEpochLossOnCleanRunCaught) {
   // may legitimately never arrive.
   log.clean = false;
   EXPECT_TRUE(evaluate(only(Oracle::kCrossEpoch), log).empty());
+}
+
+TEST(CheckOracle, SelfDeliveryAllOwnCastsBackOk) {
+  // Each member got its own casts back; what reached the other member is
+  // not this oracle's business.
+  RunLog log = two_members({cast(0, 0, 1), cast(0, 1, 1)}, {cast(1, 0, 1)});
+  log.sent = {2, 1};
+  EXPECT_TRUE(evaluate(only(Oracle::kSelfDelivery), log).empty());
+}
+
+TEST(CheckOracle, SelfDeliveryMissingOwnCastCaught) {
+  // m1 cast twice but only its first cast came back: a stuck token (say)
+  // that no safety oracle notices.
+  RunLog log = two_members({cast(0, 0, 1)}, {cast(0, 0, 1), cast(1, 0, 1)});
+  log.sent = {1, 2};
+  auto v = evaluate(only(Oracle::kSelfDelivery), log);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].oracle, Oracle::kSelfDelivery);
+  EXPECT_EQ(v[0].member, 1u);
+  EXPECT_NE(v[0].detail.find("1 of its own 2"), std::string::npos);
+  EXPECT_NE(v[0].detail.find("m1 r1#0"), std::string::npos);
+}
+
+TEST(CheckOracle, SelfDeliveryOthersCastsDoNotCount) {
+  // m0 delivered a cast claiming m1's round 0 but never its own.
+  RunLog log = two_members({cast(1, 0, 1)}, {cast(1, 0, 1)});
+  log.sent = {1, 1};
+  auto v = evaluate(only(Oracle::kSelfDelivery), log);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].member, 0u);
+}
+
+TEST(CheckOracle, SelfDeliveryCrashedMemberExempt) {
+  RunLog log = two_members({}, {cast(1, 0, 1)});
+  log.sent = {3, 1};
+  log.members[0].crashed = true;  // its casts may die with it
+  EXPECT_TRUE(evaluate(only(Oracle::kSelfDelivery), log).empty());
 }
 
 TEST(CheckOracle, LogHashCoversEpochs) {

@@ -46,6 +46,7 @@ TEST(CheckRunner, AutoOraclesFollowProvidedProperties) {
       {Property::kFifoMulticast, Property::kVirtualSync,
        Property::kTotalOrder}));
   EXPECT_EQ(s, static_cast<OracleSet>(Oracle::kNoDupNoCreation) |
+                   static_cast<OracleSet>(Oracle::kSelfDelivery) |
                    static_cast<OracleSet>(Oracle::kVirtualSynchrony) |
                    static_cast<OracleSet>(Oracle::kTotalOrder));
   EXPECT_EQ(auto_oracles(0), kAutoOracles);
@@ -90,6 +91,11 @@ class CheckRunnerBroken : public ::testing::TestWithParam<BrokenCase> {};
 
 TEST_P(CheckRunnerBroken, CaughtWithinBudget) {
   Scenario s = small(GetParam().stack);
+  // Every auto-selected oracle but self-delivery: the swap shims hold a
+  // cast back until the next upcall arrives, so on some seeds a member's
+  // own last cast is never delivered and self-delivery rightly fires first.
+  s.oracles = run_scenario(s, 1).oracles &
+              ~static_cast<OracleSet>(Oracle::kSelfDelivery);
   ExploreOptions o;
   o.num_seeds = kDetectionBudget;
   o.shrink_failures = false;

@@ -58,8 +58,13 @@ TEST(Scheduler, CancelAfterFireIsSafe) {
   TimerId id = s.schedule(1, [] {});
   s.run();
   s.cancel(id);  // no effect, no crash
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_TRUE(s.empty());
   s.schedule(1, [] {});
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
   EXPECT_EQ(s.run(), 1u);
+  EXPECT_TRUE(s.empty());
 }
 
 TEST(Scheduler, RunUntilAdvancesClockToDeadline) {
@@ -106,6 +111,43 @@ TEST(Scheduler, PendingCountsCancellations) {
   EXPECT_EQ(s.pending(), 1u);
   EXPECT_FALSE(s.empty());
   s.run();
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, CancelZeroAndUnknownIdsAreNoOps) {
+  // Layers keep a zeroed TimerId for "no timer armed" and cancel it
+  // unconditionally; that must not poison the bookkeeping.
+  Scheduler s;
+  s.cancel(0);
+  s.cancel(12345);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_TRUE(s.empty());
+  int ran = 0;
+  s.schedule(1, [&] { ++ran; });
+  s.cancel(0);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(Scheduler, SweepOfFiredCancelsKeepsLiveOnes) {
+  // Cancelling fired timers over and over must neither grow without bound
+  // nor lose a cancellation of an event still queued.
+  Scheduler s;
+  int ran = 0;
+  TimerId doomed = s.schedule(1'000'000, [&] { ran += 100; });
+  s.cancel(doomed);
+  s.schedule(2'000'000, [&] { ++ran; });
+  for (int i = 0; i < 1000; ++i) {
+    TimerId t = s.schedule(1, [] {});
+    s.step();
+    s.cancel(t);
+  }
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(ran, 1);
   EXPECT_TRUE(s.empty());
 }
 

@@ -1,12 +1,17 @@
 #include "horus/analysis/lint.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "horus/layers/registry.hpp"
 
 namespace horus::analysis {
 namespace {
+
+/// Yields the layer library for fix suggestions. Called only for an
+/// ill-formed stack, so a well-formed one never pays for building it.
+using LibraryFn = std::function<std::vector<LintLayer>()>;
 
 std::vector<props::LayerSpec> rows_of(const std::vector<LintLayer>& v) {
   std::vector<props::LayerSpec> out;
@@ -55,8 +60,8 @@ void check_transport_placement(const std::vector<LintLayer>& stack,
 }
 
 void check_well_formed(const std::vector<LintLayer>& stack,
-                       const std::vector<LintLayer>& library,
-                       props::PropertySet network, LintReport& rep) {
+                       const LibraryFn& library, props::PropertySet network,
+                       LintReport& rep) {
   props::StackCheck chk = props::check_stack(rows_of(stack), network);
   if (chk.well_formed) return;
 
@@ -69,7 +74,7 @@ void check_well_formed(const std::vector<LintLayer>& stack,
     // Search for the cheapest sequence of (non-transport) layers that,
     // inserted directly below the offender, supplies what it is missing.
     std::vector<props::LayerSpec> lib;
-    for (const LintLayer& l : library) {
+    for (const LintLayer& l : library()) {
       if (!l.is_transport) lib.push_back(l.spec);
     }
     props::PropertySet from =
@@ -293,9 +298,10 @@ std::string LintReport::to_json() const {
   return os.str();
 }
 
-LintReport lint_stack(const std::vector<LintLayer>& stack,
-                      const std::vector<LintLayer>& library,
-                      props::PropertySet network) {
+namespace {
+
+LintReport lint_resolved(const std::vector<LintLayer>& stack,
+                         const LibraryFn& library, props::PropertySet network) {
   LintReport rep;
   std::vector<std::string> names;
   names.reserve(stack.size());
@@ -315,6 +321,24 @@ LintReport lint_stack(const std::vector<LintLayer>& stack,
   check_redundant(stack, network, rep);
   check_dead_guarantees(stack, network, rep);
   return rep;
+}
+
+/// Every registered layer, instantiated once each to read its spec.
+std::vector<LintLayer> registry_library() {
+  std::vector<LintLayer> library;
+  for (const std::string& n : layers::layer_names()) {
+    LayerInfo info = layers::layer_info(n);
+    library.push_back({n, info.spec, info.is_transport});
+  }
+  return library;
+}
+
+}  // namespace
+
+LintReport lint_stack(const std::vector<LintLayer>& stack,
+                      const std::vector<LintLayer>& library,
+                      props::PropertySet network) {
+  return lint_resolved(stack, [&library] { return library; }, network);
 }
 
 LintReport lint_spec(const std::string& spec, props::PropertySet network) {
@@ -355,13 +379,7 @@ LintReport lint_spec(const std::string& spec, props::PropertySet network) {
   }
   if (unresolved) return rep;  // property checks need every row resolved
 
-  std::vector<LintLayer> library;
-  for (const std::string& n : layers::layer_names()) {
-    LayerInfo info = layers::layer_info(n);
-    library.push_back({n, info.spec, info.is_transport});
-  }
-
-  LintReport deep = lint_stack(stack, library, network);
+  LintReport deep = lint_resolved(stack, registry_library, network);
   deep.spec = spec;
   return deep;
 }

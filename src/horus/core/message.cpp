@@ -220,6 +220,7 @@ ByteSpan Message::region() const {
 
 Bytes Message::region_copy() const {
   ByteSpan r = region();
+  msg_path_stats().bytes_copied.fetch_add(r.size(), std::memory_order_relaxed);
   return Bytes(r.begin(), r.end());
 }
 
@@ -345,26 +346,24 @@ Message Message::slice_payload(std::size_t off, std::size_t len) const {
 // -- capture ----------------------------------------------------------------
 
 Bytes Message::upper_wire() const {
-  if (rx()) {
-    return Bytes(rx_buf_->begin() + static_cast<std::ptrdiff_t>(rx_cursor_),
-                 rx_buf_->begin() + static_cast<std::ptrdiff_t>(rx_end_));
-  }
-  if (linear()) {
-    const std::uint8_t* base = wb_->data();
-    return Bytes(base + head_, base + pay_off_ + pay_len_);
-  }
   Bytes out;
-  std::size_t total = 0;
-  for (const auto& b : blocks_) total += b.size();
-  for (const auto& c : chunks_) total += c.len;
-  out.reserve(total);
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
-    out.insert(out.end(), it->begin(), it->end());
+  if (rx() || linear()) {
+    ByteSpan contiguous = upper_span();
+    out.assign(contiguous.begin(), contiguous.end());
+  } else {
+    std::size_t total = 0;
+    for (const auto& b : blocks_) total += b.size();
+    for (const auto& c : chunks_) total += c.len;
+    out.reserve(total);
+    for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
+      out.insert(out.end(), it->begin(), it->end());
+    }
+    for (const auto& c : chunks_) {
+      out.insert(out.end(), c.buf->begin() + static_cast<std::ptrdiff_t>(c.off),
+                 c.buf->begin() + static_cast<std::ptrdiff_t>(c.off + c.len));
+    }
   }
-  for (const auto& c : chunks_) {
-    out.insert(out.end(), c.buf->begin() + static_cast<std::ptrdiff_t>(c.off),
-               c.buf->begin() + static_cast<std::ptrdiff_t>(c.off + c.len));
-  }
+  msg_path_stats().bytes_copied.fetch_add(out.size(), std::memory_order_relaxed);
   return out;
 }
 

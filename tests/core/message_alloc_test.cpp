@@ -14,6 +14,7 @@
 
 #include "horus/core/message.hpp"
 #include "horus/core/wirebuf.hpp"
+#include "horus/layers/common.hpp"
 #include "horus/util/hotpath_stats.hpp"
 #include "horus/util/serialize.hpp"
 
@@ -111,6 +112,28 @@ TEST(MessageAlloc, SteadyStateCastOverFragNakCom) {
     EXPECT_GE(w.logs[static_cast<std::size_t>(m)].casts.size(),
               static_cast<std::size_t>(kCasts));
   }
+}
+
+TEST(MessageAlloc, CaptureCountsEveryCopiedByte) {
+  // A capture (MBRSHIP's flush log, NAK's retransmit buffer) copies the
+  // header region and everything above the capturing layer; both copies
+  // count in bytes_copied.
+  Message m = Message::from_string("0123456789abcdef");  // 16 B payload
+  m.push_block(to_bytes("HDR1"));                         // 4 B header
+  m.region_mut(6);                                        // 6 B region
+  auto& s = msg_path_stats();
+  s.reset();
+  layers::CapturedMsg cap = layers::CapturedMsg::capture(m);
+  EXPECT_EQ(cap.region.size(), 6u);
+  EXPECT_EQ(cap.rest.size(), 20u);
+  EXPECT_EQ(s.bytes_copied.load(), 26u);
+
+  // Re-injected as an rx message and captured again (a retransmission of a
+  // retransmission): the same 26 bytes, counted again.
+  Message rx = cap.to_rx();
+  s.reset();
+  EXPECT_EQ(layers::CapturedMsg::capture(rx).rest, cap.rest);
+  EXPECT_EQ(s.bytes_copied.load(), 26u);
 }
 
 }  // namespace

@@ -79,6 +79,59 @@ TEST(Com, ChecksumDropsGarbledDatagrams) {
       << "corrupted datagrams must never be delivered through COM (P10)";
 }
 
+/// Capture the datagram a cast of `payload_size` bytes puts on the wire to
+/// member 1, then hand member 1 copies of it, each with one bit flipped at
+/// `flip` (byte offsets; negative counts back from the end), and finally
+/// the intact datagram. Returns the frame size; no copy is re-sealed, so
+/// each garbled one must fail COM's check and only the intact one deliver.
+std::size_t expect_flips_dropped(std::size_t payload_size,
+                                 const std::vector<std::ptrdiff_t>& flip) {
+  ComWorld w(2);
+  std::shared_ptr<const Bytes> clean;
+  w.sys.net().attach(w.eps[1]->address().id,
+                     [&](sim::NodeId, std::shared_ptr<const Bytes> d) { clean = d; });
+  w.eps[0]->cast(kGroup, Message::from_string(std::string(payload_size, 'p')));
+  w.sys.run_for(50 * sim::kMillisecond);
+  EXPECT_NE(clean, nullptr);
+  if (clean == nullptr) return 0;
+  const auto len = static_cast<std::ptrdiff_t>(clean->size());
+  for (std::ptrdiff_t at : flip) {
+    std::ptrdiff_t byte = at < 0 ? len + at : at;
+    EXPECT_TRUE(byte >= 0 && byte < len) << "flip " << at;
+    if (byte < 0 || byte >= len) continue;
+    for (int bit : {0, 7}) {
+      Bytes garbled = *clean;
+      garbled[static_cast<std::size_t>(byte)] ^= static_cast<std::uint8_t>(1u << bit);
+      w.eps[1]->deliver_datagram(w.eps[0]->address(),
+                                 std::make_shared<const Bytes>(std::move(garbled)));
+    }
+  }
+  w.sys.run_for(50 * sim::kMillisecond);
+  EXPECT_TRUE(w.logs[1].casts.empty()) << "a garbled datagram was delivered";
+  w.eps[1]->deliver_datagram(w.eps[0]->address(), clean);
+  w.sys.run_for(50 * sim::kMillisecond);
+  EXPECT_EQ(w.logs[1].casts.size(), 1u) << "the intact datagram must deliver";
+  return clean->size();
+}
+
+TEST(Com, ChecksumDropsSingleBitFlipsInTrainSizedFrames) {
+  // >= 64 B: CRC-32 folds the 16-byte blocks with carry-less multiplies and
+  // runs the last < 16 B through the table loop. Flip bits in the folded
+  // body (first block past the demux prefix, middle, last block), in the
+  // byte tail just before the trailer and in the trailer itself.
+  std::size_t frame = expect_flips_dropped(
+      1100, {16, 17, 63, 64, 500, 1023, -21, -6, -5, -4, -3, -1});
+  ASSERT_GE(frame, 1024u);
+  EXPECT_NE((frame - 4) % 16, 0u) << "pick a size that leaves a byte tail";
+}
+
+TEST(Com, ChecksumDropsSingleBitFlipsInShortFrames) {
+  // < 64 B: the whole frame takes the table loop.
+  std::size_t frame = expect_flips_dropped(8, {10, 16, 20, -5, -4, -1});
+  ASSERT_GT(frame, 20u);
+  EXPECT_LT(frame, 64u);
+}
+
 TEST(Com, RawComDeliversGarbledDatagrams) {
   // RAWCOM has no checksum: corruption flows through (it provides only
   // P11). Payload-only corruption keeps the header parseable often enough
